@@ -10,16 +10,11 @@ namespace barracuda::serve {
 
 PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {
   BARRACUDA_CHECK_MSG(capacity_ >= 1, "plan cache capacity must be >= 1");
-  snapshot_.store(std::make_shared<const Map>(), std::memory_order_relaxed);
 }
 
 std::shared_ptr<const ExecutablePlan> PlanCache::find(
     const std::string& signature) const {
-  // Acquire pairs with insert()'s release store, exactly like the
-  // registry's shard snapshots: the map contents are fully visible, no
-  // lock anywhere on this path.
-  std::shared_ptr<const Map> snap =
-      snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<const Map> snap = snapshot_.read();
   auto it = snap->find(signature);
   if (it == snap->end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -36,38 +31,36 @@ std::shared_ptr<const ExecutablePlan> PlanCache::find(
 std::shared_ptr<const ExecutablePlan> PlanCache::insert(
     const std::string& signature, ExecutablePlan plan) {
   auto shared = std::make_shared<const ExecutablePlan>(std::move(plan));
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  std::shared_ptr<const Map> snap =
-      snapshot_.load(std::memory_order_relaxed);
-  auto next = std::make_shared<Map>(*snap);
-  Slot& slot = (*next)[signature];
-  slot.plan = shared;
-  slot.last_used = std::make_shared<std::atomic<std::uint64_t>>(
-      tick_.fetch_add(1, std::memory_order_relaxed));
-  // LRU eviction past capacity: drop the coldest ticks.  Readers that
-  // already hold an evicted plan keep it alive via their shared_ptr.
-  while (next->size() > capacity_) {
-    auto coldest = next->end();
-    std::uint64_t coldest_tick = 0;
-    for (auto it = next->begin(); it != next->end(); ++it) {
-      if (it->first == signature) continue;  // never evict the newcomer
-      const std::uint64_t t =
-          it->second.last_used->load(std::memory_order_relaxed);
-      if (coldest == next->end() || t < coldest_tick) {
-        coldest = it;
-        coldest_tick = t;
+  snapshot_.write([&](auto& draft) {
+    Map& next = draft.edit();
+    Slot& slot = next[signature];
+    slot.plan = shared;
+    slot.last_used = std::make_shared<std::atomic<std::uint64_t>>(
+        tick_.fetch_add(1, std::memory_order_relaxed));
+    // LRU eviction past capacity: drop the coldest ticks.  Readers that
+    // already hold an evicted plan keep it alive via their shared_ptr.
+    while (next.size() > capacity_) {
+      auto coldest = next.end();
+      std::uint64_t coldest_tick = 0;
+      for (auto it = next.begin(); it != next.end(); ++it) {
+        if (it->first == signature) continue;  // never evict the newcomer
+        const std::uint64_t t =
+            it->second.last_used->load(std::memory_order_relaxed);
+        if (coldest == next.end() || t < coldest_tick) {
+          coldest = it;
+          coldest_tick = t;
+        }
       }
+      if (coldest == next.end()) break;  // capacity 1: only the newcomer
+      next.erase(coldest);
+      evictions_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (coldest == next->end()) break;  // capacity 1: only the newcomer
-    next->erase(coldest);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  snapshot_.store(std::move(next), std::memory_order_release);
+  });
   return shared;
 }
 
 std::size_t PlanCache::size() const {
-  return snapshot_.load(std::memory_order_acquire)->size();
+  return snapshot_.read()->size();
 }
 
 std::size_t PlanCache::hits() const {
@@ -82,9 +75,6 @@ std::size_t PlanCache::evictions() const {
   return evictions_.load(std::memory_order_relaxed);
 }
 
-void PlanCache::clear() {
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  snapshot_.store(std::make_shared<const Map>(), std::memory_order_release);
-}
+void PlanCache::clear() { snapshot_.reset(); }
 
 }  // namespace barracuda::serve

@@ -9,13 +9,12 @@
 // the per-request cost of a hot signature drops to one snapshot load.
 //
 // Concurrency discipline: identical to the sharded PlanRegistry's —
-// readers are mutex-free.  The whole map is published as an immutable
-// snapshot (std::shared_ptr<const Map>) through an atomic pointer;
-// find() loads the snapshot, looks up, and bumps the entry's recency
+// readers are mutex-free.  The whole map is one support::CowSnapshot;
+// find() reads the snapshot, looks up, and bumps the entry's recency
 // tick with a relaxed atomic store (the tick lives behind a shared_ptr
-// in the slot, so it survives snapshot swaps).  insert() serializes
-// writers on one mutex and publishes copy-on-write: copy the map, add
-// the entry, evict the least-recently-used slots past capacity, swap.
+// in the slot, so it survives snapshot swaps).  insert() is a
+// copy-on-write write: copy the map, add the entry, evict the
+// least-recently-used slots past capacity, publish.
 // A reader holding an evicted plan keeps it alive through its
 // shared_ptr — eviction drops the cache's reference, never the plan.
 //
@@ -31,12 +30,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 
 #include "chill/kernel.hpp"
 #include "serve/registry.hpp"
+#include "support/snapshot.hpp"
 
 namespace barracuda::serve {
 
@@ -87,8 +86,7 @@ class PlanCache {
   using Map = std::unordered_map<std::string, Slot>;
 
   std::size_t capacity_;
-  std::atomic<std::shared_ptr<const Map>> snapshot_;
-  mutable std::mutex write_mutex_;
+  support::CowSnapshot<Map> snapshot_;
   mutable std::atomic<std::uint64_t> tick_{0};
   mutable std::atomic<std::size_t> hits_{0};
   mutable std::atomic<std::size_t> misses_{0};

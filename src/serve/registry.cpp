@@ -77,110 +77,88 @@ PlanRegistry::PlanRegistry() : PlanRegistry(default_registry_shards()) {}
 
 PlanRegistry::PlanRegistry(std::size_t shards)
     : shard_count_(round_up_pow2(std::max<std::size_t>(1, shards))),
-      shards_(std::make_unique<Shard[]>(shard_count_)) {
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    shards_[s].snapshot.store(std::make_shared<const ShardMap>(),
-                              std::memory_order_relaxed);
-    shards_[s].demand.store(std::make_shared<const DemandMap>(),
-                            std::memory_order_relaxed);
-  }
+      shards_(std::make_unique<Shard[]>(shard_count_)) {}
+
+std::size_t PlanRegistry::shard_index(const std::string& signature) const {
+  return std::hash<std::string>{}(signature) & (shard_count_ - 1);
 }
 
 PlanRegistry::Shard& PlanRegistry::shard_of(
     const std::string& signature) const {
-  // Power-of-two count: mask the string hash.  Readers and writers for
-  // distinct shards share nothing but the counters.
-  return shards_[std::hash<std::string>{}(signature) & (shard_count_ - 1)];
+  return shards_[shard_index(signature)];
 }
 
 bool PlanRegistry::lookup(const std::string& signature,
                           PlanEntry* entry) const {
   const Shard& shard = shard_of(signature);
-  // Acquire pairs with the publisher's release store: the snapshot's map
-  // contents are fully visible.  No lock — this is the warm serving
-  // path.
-  std::shared_ptr<const ShardMap> snap =
-      shard.snapshot.load(std::memory_order_acquire);
+  // No mutex — this is the warm serving path.
+  std::shared_ptr<const ShardMap> snap = shard.slots.read();
   auto it = snap->find(signature);
   if (it == snap->end()) {
     shard.misses.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   shard.hits.fetch_add(1, std::memory_order_relaxed);
-  *entry = it->second;
+  *entry = it->second.entry;
   return true;
 }
 
 bool PlanRegistry::contains(const std::string& signature) const {
-  const Shard& shard = shard_of(signature);
-  std::shared_ptr<const ShardMap> snap =
-      shard.snapshot.load(std::memory_order_acquire);
+  std::shared_ptr<const ShardMap> snap = shard_of(signature).slots.read();
   return snap->find(signature) != snap->end();
 }
 
 bool PlanRegistry::peek(const std::string& signature,
                         PlanEntry* entry) const {
-  const Shard& shard = shard_of(signature);
-  std::shared_ptr<const ShardMap> snap =
-      shard.snapshot.load(std::memory_order_acquire);
+  std::shared_ptr<const ShardMap> snap = shard_of(signature).slots.read();
   auto it = snap->find(signature);
   if (it == snap->end()) return false;
-  *entry = it->second;
+  *entry = it->second.entry;
   return true;
+}
+
+bool PlanRegistry::install(const std::string& signature,
+                           const PlanEntry& entry, PlanEntry* served) {
+  Shard& shard = shard_of(signature);
+  return shard.slots.write([&](auto& draft) {
+    auto it = draft.get().find(signature);
+    const bool is_new = it == draft.get().end();
+    if (!is_new && !better_plan(entry, it->second.entry)) {
+      *served = it->second.entry;
+      return false;
+    }
+    // An upgrade keeps the slot's demand; a new signature's demand is
+    // born in the same snapshot as its entry, so no reader ever sees one
+    // without the other.
+    Slot& slot = draft.edit()[signature];
+    slot.entry = entry;
+    if (is_new) {
+      slot.demand = std::make_shared<Demand>();
+    } else {
+      shard.upgrades.fetch_add(1, std::memory_order_relaxed);
+    }
+    *served = entry;
+    return true;
+  });
 }
 
 bool PlanRegistry::publish(const std::string& signature,
                            const PlanEntry& entry) {
-  Shard& shard = shard_of(signature);
-  {
-    std::lock_guard<std::mutex> lock(shard.write_mutex);
-    std::shared_ptr<const ShardMap> snap =
-        shard.snapshot.load(std::memory_order_relaxed);
-    auto it = snap->find(signature);
-    const bool is_new = it == snap->end();
-    if (!is_new && !better_plan(entry, it->second)) return false;
-    // Copy-on-write: readers keep the old snapshot until the release
-    // store below, then see the fully built new one.
-    auto next = std::make_shared<ShardMap>(*snap);
-    (*next)[signature] = entry;
-    shard.snapshot.store(std::move(next), std::memory_order_release);
-    if (!is_new) shard.upgrades.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Every registered entry carries a demand record (the age-out
-  // baseline), even before its first request.
-  ensure_demand(shard, signature);
-  return true;
+  PlanEntry served;
+  return install(signature, entry, &served);
 }
 
 PlanEntry PlanRegistry::publish_and_get(const std::string& signature,
                                         const PlanEntry& entry) {
-  Shard& shard = shard_of(signature);
-  PlanEntry result;
-  {
-    std::lock_guard<std::mutex> lock(shard.write_mutex);
-    std::shared_ptr<const ShardMap> snap =
-        shard.snapshot.load(std::memory_order_relaxed);
-    auto it = snap->find(signature);
-    if (it != snap->end() && !better_plan(entry, it->second)) {
-      result = it->second;
-    } else {
-      auto next = std::make_shared<ShardMap>(*snap);
-      (*next)[signature] = entry;
-      if (it != snap->end()) {
-        shard.upgrades.fetch_add(1, std::memory_order_relaxed);
-      }
-      shard.snapshot.store(std::move(next), std::memory_order_release);
-      result = entry;
-    }
-  }
-  ensure_demand(shard, signature);
-  return result;
+  PlanEntry served;
+  install(signature, entry, &served);
+  return served;
 }
 
 std::size_t PlanRegistry::size() const {
   std::size_t total = 0;
   for (std::size_t s = 0; s < shard_count_; ++s) {
-    total += shards_[s].snapshot.load(std::memory_order_acquire)->size();
+    total += shards_[s].slots.read()->size();
   }
   return total;
 }
@@ -212,11 +190,7 @@ std::size_t PlanRegistry::upgrades() const {
 void PlanRegistry::clear() {
   for (std::size_t s = 0; s < shard_count_; ++s) {
     Shard& shard = shards_[s];
-    std::lock_guard<std::mutex> lock(shard.write_mutex);
-    shard.snapshot.store(std::make_shared<const ShardMap>(),
-                         std::memory_order_release);
-    shard.demand.store(std::make_shared<const DemandMap>(),
-                       std::memory_order_release);
+    shard.slots.reset();
     shard.hits.store(0, std::memory_order_relaxed);
     shard.misses.store(0, std::memory_order_relaxed);
     shard.upgrades.store(0, std::memory_order_relaxed);
@@ -224,98 +198,26 @@ void PlanRegistry::clear() {
   aged_out_.store(0, std::memory_order_relaxed);
 }
 
-std::shared_ptr<PlanRegistry::Demand> PlanRegistry::ensure_demand(
-    Shard& shard, const std::string& signature) const {
-  // Fast path: the record exists — no lock, no copy.
-  std::shared_ptr<const DemandMap> snap =
-      shard.demand.load(std::memory_order_acquire);
-  auto it = snap->find(signature);
-  if (it != snap->end()) return it->second;
-  // First touch: copy-on-write the record in under the shard's write
-  // lock (re-checking — another thread may have won the race).
-  std::lock_guard<std::mutex> lock(shard.write_mutex);
-  std::shared_ptr<const DemandMap> current =
-      shard.demand.load(std::memory_order_relaxed);
-  auto again = current->find(signature);
-  if (again != current->end()) return again->second;
-  auto record = std::make_shared<Demand>();
-  auto next = std::make_shared<DemandMap>(*current);
-  (*next)[signature] = record;
-  shard.demand.store(std::move(next), std::memory_order_release);
-  return record;
-}
-
 void PlanRegistry::record_demand(const std::string& signature,
                                  double served_us, std::uint64_t count) {
   if (count == 0) return;
-  Shard& shard = shard_of(signature);
-  std::shared_ptr<Demand> d = ensure_demand(shard, signature);
-  d->local_hits.fetch_add(count, std::memory_order_relaxed);
+  std::shared_ptr<const ShardMap> snap = shard_of(signature).slots.read();
+  auto it = snap->find(signature);
+  if (it == snap->end()) return;
+  Demand& d = *it->second.demand;
+  d.local_hits.fetch_add(count, std::memory_order_relaxed);
   // -1 = "requested since the last save"; save() folds it to age 0.
-  d->idle.store(-1, std::memory_order_relaxed);
-  d->served_us.record(served_us, count);
-}
-
-void PlanRegistry::absorb_demand(const std::string& signature,
-                                 std::uint64_t file_hits,
-                                 std::uint64_t file_age) {
-  Shard& shard = shard_of(signature);
-  std::shared_ptr<Demand> d;
-  {
-    std::shared_ptr<const DemandMap> snap =
-        shard.demand.load(std::memory_order_acquire);
-    auto it = snap->find(signature);
-    if (it != snap->end()) d = it->second;
-  }
-  if (!d) {
-    // First sighting of this signature: the record IS the file's state
-    // (an ensure_demand() record would start "fresh", wrongly erasing
-    // the file's age).
-    std::lock_guard<std::mutex> lock(shard.write_mutex);
-    std::shared_ptr<const DemandMap> current =
-        shard.demand.load(std::memory_order_relaxed);
-    auto again = current->find(signature);
-    if (again != current->end()) {
-      d = again->second;
-    } else {
-      d = std::make_shared<Demand>();
-      d->base_hits.store(file_hits, std::memory_order_relaxed);
-      d->idle.store(static_cast<std::int64_t>(file_age),
-                    std::memory_order_relaxed);
-      auto next = std::make_shared<DemandMap>(*current);
-      (*next)[signature] = d;
-      shard.demand.store(std::move(next), std::memory_order_release);
-      return;
-    }
-  }
-  // Request counts: every v2 file carries the union as of its save, so
-  // the baselines reconcile by max, never by addition (addition would
-  // double-count the shared history).
-  std::uint64_t base = d->base_hits.load(std::memory_order_relaxed);
-  while (file_hits > base &&
-         !d->base_hits.compare_exchange_weak(base, file_hits,
-                                             std::memory_order_relaxed)) {
-  }
-  // Ages reconcile by freshest-wins: -1 (requested in this process)
-  // beats any file age, otherwise the smaller age stands.
-  std::int64_t cur = d->idle.load(std::memory_order_relaxed);
-  const auto age = static_cast<std::int64_t>(file_age);
-  while (cur != -1 && age < cur &&
-         !d->idle.compare_exchange_weak(cur, age,
-                                        std::memory_order_relaxed)) {
-  }
+  d.idle.store(-1, std::memory_order_relaxed);
+  d.served_us.record(served_us, count);
 }
 
 bool PlanRegistry::demand(const std::string& signature,
                           DemandStats* stats) const {
-  Shard& shard = shard_of(signature);
-  std::shared_ptr<const DemandMap> snap =
-      shard.demand.load(std::memory_order_acquire);
+  std::shared_ptr<const ShardMap> snap = shard_of(signature).slots.read();
   auto it = snap->find(signature);
   if (it == snap->end()) return false;
-  const Demand& d = *it->second;
-  stats->requests = d.base_hits.load(std::memory_order_relaxed) +
-                    d.local_hits.load(std::memory_order_relaxed);
+  const Demand& d = *it->second.demand;
+  stats->requests = d.requests();
   const std::int64_t idle = d.idle.load(std::memory_order_relaxed);
   stats->idle_generations =
       idle < 0 ? 0 : static_cast<std::uint64_t>(idle);
@@ -328,18 +230,11 @@ std::vector<HotSignature> PlanRegistry::hottest(
   if (min_requests == 0) min_requests = 1;
   std::vector<HotSignature> ranked;
   for (std::size_t s = 0; s < shard_count_; ++s) {
-    std::shared_ptr<const DemandMap> demand_snap =
-        shards_[s].demand.load(std::memory_order_acquire);
-    std::shared_ptr<const ShardMap> entry_snap =
-        shards_[s].snapshot.load(std::memory_order_acquire);
-    for (const auto& [sig, d] : *demand_snap) {
-      const std::uint64_t requests =
-          d->base_hits.load(std::memory_order_relaxed) +
-          d->local_hits.load(std::memory_order_relaxed);
+    std::shared_ptr<const ShardMap> snap = shards_[s].slots.read();
+    for (const auto& [sig, slot] : *snap) {
+      const std::uint64_t requests = slot.demand->requests();
       if (requests < min_requests) continue;
-      auto it = entry_snap->find(sig);
-      if (it == entry_snap->end()) continue;
-      ranked.push_back({sig, requests, it->second.tuned});
+      ranked.push_back({sig, requests, slot.entry.tuned});
     }
   }
   std::sort(ranked.begin(), ranked.end(),
@@ -354,11 +249,9 @@ std::vector<HotSignature> PlanRegistry::hottest(
 std::uint64_t PlanRegistry::demand_requests() const {
   std::uint64_t total = 0;
   for (std::size_t s = 0; s < shard_count_; ++s) {
-    std::shared_ptr<const DemandMap> snap =
-        shards_[s].demand.load(std::memory_order_acquire);
-    for (const auto& [sig, d] : *snap) {
-      total += d->base_hits.load(std::memory_order_relaxed) +
-               d->local_hits.load(std::memory_order_relaxed);
+    std::shared_ptr<const ShardMap> snap = shards_[s].slots.read();
+    for (const auto& [sig, slot] : *snap) {
+      total += slot.demand->requests();
     }
   }
   return total;
@@ -367,10 +260,9 @@ std::uint64_t PlanRegistry::demand_requests() const {
 support::HistogramSnapshot PlanRegistry::served_latency() const {
   support::HistogramSnapshot merged = support::Histogram().snapshot();
   for (std::size_t s = 0; s < shard_count_; ++s) {
-    std::shared_ptr<const DemandMap> snap =
-        shards_[s].demand.load(std::memory_order_acquire);
-    for (const auto& [sig, d] : *snap) {
-      merged.merge(d->served_us.snapshot());
+    std::shared_ptr<const ShardMap> snap = shards_[s].slots.read();
+    for (const auto& [sig, slot] : *snap) {
+      merged.merge(slot.demand->served_us.snapshot());
     }
   }
   return merged;
@@ -383,47 +275,39 @@ struct PlanRegistry::SaveBatch {
   struct Row {
     std::string signature;
     PlanEntry entry;
-    std::shared_ptr<Demand> demand;  // may be null for hand-built maps
+    std::shared_ptr<Demand> demand;
     std::int64_t idle_read = 0;      // idle value at gather time
     std::uint64_t local_read = 0;    // local_hits at gather time
     std::uint64_t age = 0;           // persisted age column
     std::uint64_t hits = 0;          // persisted hits column
   };
   std::vector<Row> rows;
-  std::vector<Row> aged;
-  std::uint64_t dropped = 0;
+  std::vector<Row> aged;  // diverted by age-out
 };
 
 std::unique_ptr<PlanRegistry::SaveBatch> PlanRegistry::gather_rows(
     bool apply_ageout) const {
-  // Gather a point-in-time view from the shard snapshots (no locks —
-  // each shard's snapshot is immutable) and sort globally by signature,
-  // so the serialized text is deterministic and byte-identical for any
-  // shard count.
+  // Gather a point-in-time view from the shard snapshots (no mutex —
+  // each shard's snapshot is immutable, and each slot carries its entry
+  // and demand together) and sort globally by signature, so the
+  // serialized text is deterministic and byte-identical for any shard
+  // count.
   using Row = SaveBatch::Row;
   auto batch = std::make_unique<SaveBatch>();
   const bool age_out = apply_ageout;
   std::vector<Row>& rows = batch->rows;
   std::vector<Row>& aged = batch->aged;
-  std::uint64_t dropped = 0;
   for (std::size_t s = 0; s < shard_count_; ++s) {
-    std::shared_ptr<const ShardMap> snap =
-        shards_[s].snapshot.load(std::memory_order_acquire);
-    std::shared_ptr<const DemandMap> demand_snap =
-        shards_[s].demand.load(std::memory_order_acquire);
-    for (const auto& [signature, entry] : *snap) {
+    std::shared_ptr<const ShardMap> snap = shards_[s].slots.read();
+    for (const auto& [signature, slot] : *snap) {
       Row row;
       row.signature = signature;
-      row.entry = entry;
-      auto it = demand_snap->find(signature);
-      if (it != demand_snap->end()) {
-        row.demand = it->second;
-        row.idle_read = row.demand->idle.load(std::memory_order_relaxed);
-        row.local_read =
-            row.demand->local_hits.load(std::memory_order_relaxed);
-        row.hits = row.demand->base_hits.load(std::memory_order_relaxed) +
-                   row.local_read;
-      }
+      row.entry = slot.entry;
+      row.demand = slot.demand;
+      const Demand& d = *slot.demand;
+      row.idle_read = d.idle.load(std::memory_order_relaxed);
+      row.local_read = d.local_hits.load(std::memory_order_relaxed);
+      row.hits = d.base_hits.load(std::memory_order_relaxed) + row.local_read;
       // A save closes a generation: a signature requested since the
       // last save persists age 0; an idle one ages by one — but only
       // when the age-out policy is armed, so policy-free registries
@@ -437,7 +321,6 @@ std::unique_ptr<PlanRegistry::SaveBatch> PlanRegistry::gather_rows(
         // (fires before any filesystem work, so the target file stays
         // intact).
         support::fault::maybe_throw("registry.save.ageout");
-        ++dropped;
         // The aged entry stops being persisted but its in-memory
         // demand keeps aging — folded with the kept rows below, only
         // once the new file has actually published.
@@ -450,7 +333,6 @@ std::unique_ptr<PlanRegistry::SaveBatch> PlanRegistry::gather_rows(
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     return a.signature < b.signature;
   });
-  batch->dropped = dropped;
 
   // Validate at gather time so a serialization error never leaves a
   // partial temp file (or a half-built wire payload) behind.
@@ -509,7 +391,6 @@ void PlanRegistry::fold_rows(const SaveBatch& batch) const {
   // unless a request arrived meanwhile (idle went to -1), which must
   // not be overwritten.
   auto fold = [](const SaveBatch::Row& row) {
-    if (!row.demand) return;
     std::int64_t expected = row.idle_read;
     row.demand->idle.compare_exchange_strong(
         expected, static_cast<std::int64_t>(row.age),
@@ -522,9 +403,7 @@ void PlanRegistry::fold_rows(const SaveBatch& batch) const {
   };
   for (const SaveBatch::Row& row : batch.rows) fold(row);
   for (const SaveBatch::Row& row : batch.aged) fold(row);
-  if (batch.dropped > 0) {
-    aged_out_.fetch_add(batch.dropped, std::memory_order_relaxed);
-  }
+  aged_out_.fetch_add(batch.aged.size(), std::memory_order_relaxed);
 }
 
 void PlanRegistry::save(const std::string& path) const {
@@ -576,39 +455,57 @@ std::string PlanRegistry::to_text() const {
   return text;
 }
 
-void PlanRegistry::merge_entries(
-    std::vector<std::pair<std::string, PlanEntry>> entries,
-    bool count_upgrades) {
-  // Group by owning shard, then apply each group with ONE copy-on-write
-  // pass per shard: a bulk load of N entries costs O(shards) snapshot
-  // copies, not O(N).
-  std::vector<std::vector<std::pair<std::string, PlanEntry>>> by_shard(
-      shard_count_);
-  for (auto& [sig, entry] : entries) {
-    const std::size_t s = std::hash<std::string>{}(sig) & (shard_count_ - 1);
-    by_shard[s].emplace_back(std::move(sig), std::move(entry));
+void PlanRegistry::merge_entries(std::vector<FileRow> rows) {
+  // Group by owning shard, then apply each group in ONE shard write: a
+  // bulk load of N rows costs at most one snapshot copy per shard, and
+  // none for a shard where every row loses to its incumbent.
+  std::vector<std::vector<FileRow>> by_shard(shard_count_);
+  for (FileRow& row : rows) {
+    by_shard[shard_index(row.signature)].push_back(std::move(row));
   }
   for (std::size_t s = 0; s < shard_count_; ++s) {
     if (by_shard[s].empty()) continue;
-    Shard& shard = shards_[s];
-    std::lock_guard<std::mutex> lock(shard.write_mutex);
-    std::shared_ptr<const ShardMap> snap =
-        shard.snapshot.load(std::memory_order_relaxed);
-    auto next = std::make_shared<ShardMap>(*snap);
-    std::size_t upgrades = 0;
-    for (auto& [sig, entry] : by_shard[s]) {
-      auto it = next->find(sig);
-      if (it == next->end()) {
-        next->emplace(std::move(sig), std::move(entry));
-      } else if (better_plan(entry, it->second)) {
-        it->second = std::move(entry);
-        ++upgrades;
+    shards_[s].slots.write([&](auto& draft) {
+      for (FileRow& row : by_shard[s]) {
+        auto it = draft.get().find(row.signature);
+        if (it == draft.get().end()) {
+          // First sighting: the slot's demand IS the file's state.
+          auto demand = std::make_shared<Demand>();
+          demand->base_hits.store(row.hits, std::memory_order_relaxed);
+          demand->idle.store(static_cast<std::int64_t>(row.age),
+                             std::memory_order_relaxed);
+          draft.edit().emplace(std::move(row.signature),
+                               Slot{std::move(row.entry), std::move(demand)});
+          continue;
+        }
+        // Demand merges independently of better-wins: even when the
+        // row's entry loses to a faster incumbent, its recorded demand
+        // is real traffic and joins the union.  The record is shared
+        // with the published snapshot, so reconciling needs no copy.
+        // Request counts: every v2 file carries the union as of its
+        // save, so the baselines reconcile by max, never by addition
+        // (addition would double-count the shared history).
+        Demand& d = *it->second.demand;
+        std::uint64_t base = d.base_hits.load(std::memory_order_relaxed);
+        while (row.hits > base &&
+               !d.base_hits.compare_exchange_weak(
+                   base, row.hits, std::memory_order_relaxed)) {
+        }
+        // Ages reconcile by freshest-wins: -1 (requested in this
+        // process) beats any file age, otherwise the smaller age stands.
+        std::int64_t cur = d.idle.load(std::memory_order_relaxed);
+        const auto age = static_cast<std::int64_t>(row.age);
+        while (cur != -1 && age < cur &&
+               !d.idle.compare_exchange_weak(cur, age,
+                                             std::memory_order_relaxed)) {
+        }
+        // Never counts upgrades — load is replication, not tuning
+        // progress.
+        if (better_plan(row.entry, it->second.entry)) {
+          draft.edit()[row.signature].entry = std::move(row.entry);
+        }
       }
-    }
-    shard.snapshot.store(std::move(next), std::memory_order_release);
-    if (count_upgrades && upgrades > 0) {
-      shard.upgrades.fetch_add(upgrades, std::memory_order_relaxed);
-    }
+    });
   }
 }
 
@@ -645,18 +542,12 @@ std::size_t PlanRegistry::merge_stream(std::istream& in,
   // Parse everything first (throwing under kStrict leaves the registry
   // untouched — load stays all-or-nothing), then bulk-merge per shard.
   // v1 lines have 5 fields, v2 lines add the age and hits columns.
-  struct FileDemand {
-    std::string signature;
-    std::uint64_t hits = 0;
-    std::uint64_t age = 0;
-  };
   const std::size_t field_count = version == 1 ? 5 : 7;
   const char* shape = version == 1
       ? "expected <us>\\t<tuned>\\t<variant>\\t<recipe>\\t<sig>"
       : "expected <us>\\t<tuned>\\t<variant>\\t<age>\\t<hits>\\t<recipe>"
         "\\t<sig>";
-  std::vector<std::pair<std::string, PlanEntry>> parsed;
-  std::vector<FileDemand> demand_rows;
+  std::vector<FileRow> parsed;
   std::size_t loaded = 0;
   std::size_t line_no = 1;
   while (std::getline(in, line)) {
@@ -671,7 +562,8 @@ std::size_t PlanRegistry::merge_stream(std::istream& in,
       fail(shape);
       continue;
     }
-    PlanEntry entry;
+    FileRow row;
+    PlanEntry& entry = row.entry;
     char* end = nullptr;
     entry.modeled_us = std::strtod(fields[0].c_str(), &end);
     if (end == fields[0].c_str() || *end != '\0' ||
@@ -693,14 +585,13 @@ std::size_t PlanRegistry::merge_stream(std::istream& in,
       fail("bad variant index '" + fields[2] + "'");
       continue;
     }
-    FileDemand demand_row;
     if (version == 2) {
-      demand_row.age = std::strtoull(fields[3].c_str(), &end, 10);
+      row.age = std::strtoull(fields[3].c_str(), &end, 10);
       if (end == fields[3].c_str() || *end != '\0') {
         fail("bad idle age '" + fields[3] + "'");
         continue;
       }
-      demand_row.hits = std::strtoull(fields[4].c_str(), &end, 10);
+      row.hits = std::strtoull(fields[4].c_str(), &end, 10);
       if (end == fields[4].c_str() || *end != '\0') {
         fail("bad hit count '" + fields[4] + "'");
         continue;
@@ -720,22 +611,14 @@ std::size_t PlanRegistry::merge_stream(std::istream& in,
       fail("unparseable recipe: " + std::string(e.what()));
       continue;
     }
-    demand_row.signature = signature;
-    demand_rows.push_back(std::move(demand_row));
-    parsed.emplace_back(signature, std::move(entry));
+    row.signature = signature;
+    parsed.push_back(std::move(row));
     ++loaded;
   }
   // Better-wins merge: a loaded entry only displaces what this registry
-  // already serves when it is actually faster.  Never counts upgrades —
-  // load is replication, not tuning progress.
-  merge_entries(std::move(parsed), /*count_upgrades=*/false);
-  // Demand merges independently of better-wins: even when a loaded
-  // entry loses to a faster incumbent, its recorded demand is real
-  // traffic and joins the union (v1 rows carry hits 0 / age 0 — the
-  // same fresh state a newly published entry gets).
-  for (const FileDemand& row : demand_rows) {
-    absorb_demand(row.signature, row.hits, row.age);
-  }
+  // already serves when it is actually faster.  v1 rows carry hits 0 /
+  // age 0.
+  merge_entries(std::move(parsed));
   local.kept = loaded;
   return loaded;
 }

@@ -14,15 +14,16 @@
 //
 // Concurrency (the warm-serving hot path): the map is SHARDED by
 // signature hash — a power-of-two shard count derived from hardware
-// concurrency — and each shard publishes an immutable snapshot
-// (std::shared_ptr<const ShardMap>) through an atomic pointer.  Readers
-// (lookup/contains/peek) take NO lock: they atomically load the shard's
-// current snapshot and search it, so a warm request never contends with
-// a tune publishing, a load() replicating, or a merge_save() composing.
-// Writers serialize per shard on a striped mutex and publish
-// copy-on-write: copy the shard map, apply the better-wins change, swap
-// the snapshot pointer.  Hit/miss/upgrade counters are relaxed per-shard
-// atomics, summed on read.
+// concurrency — and each shard is a support::CowSnapshot of its slot
+// map.  Readers (lookup/contains/peek) take no mutex: they load the
+// shard's current immutable snapshot and search it, so a warm request
+// never waits behind a tune publishing, a load() replicating, or a
+// merge_save() composing.  The snapshot load is mutex-free but not
+// lock-free on libstdc++ 12 (see support/snapshot.hpp).  Writers
+// serialize per shard and publish copy-on-write: copy the shard map,
+// apply the better-wins change, swap the snapshot — and a write the
+// incumbent wins copies nothing.  Hit/miss/upgrade counters are relaxed
+// per-shard atomics, summed on read.
 //
 // Persistence reuses the EvalCache machinery wholesale: a versioned,
 // line-oriented text format (UNCHANGED by the sharding — files written
@@ -34,14 +35,15 @@
 // processes compose losslessly, and load() rejecting corrupt files
 // loudly instead of serving garbage.
 //
-// Demand tracking (the adaptive-serving feedback signal): alongside each
-// shard's plan snapshot lives a demand snapshot — an immutable map from
-// signature to a shared Demand record (relaxed-atomic request counter +
-// wait-free served-latency Histogram + an idle-generation age).  The
-// recording path (record_demand) is lock-free after the first request
-// for a signature: it loads the demand snapshot, finds the shared
-// record, and bumps atomics; only the very first request per signature
-// takes the shard write lock to copy-on-write the record in.  Demand
+// Demand tracking (the adaptive-serving feedback signal): each shard
+// slot holds the signature's PlanEntry together with a shared Demand
+// record (relaxed-atomic request counter + wait-free served-latency
+// Histogram + an idle-generation age).  The record is created in the
+// same snapshot as the entry — by publish or by a load/merge that
+// seeds it from the file's columns — and survives upgrades, so every
+// reader (save() included) sees an entry and its demand together.  The
+// recording path (record_demand) loads the shard snapshot, finds the
+// slot and bumps atomics; it takes no mutex and copies nothing.  Demand
 // feeds three consumers: hottest() ranks signatures for the
 // TuningService's background re-tuner, served_latency() merges the
 // per-signature histograms for ServeStats, and save() persists the
@@ -60,12 +62,12 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "chill/lower.hpp"
 #include "support/histogram.hpp"
 #include "support/recovery.hpp"
+#include "support/snapshot.hpp"
 
 namespace barracuda::serve {
 
@@ -82,7 +84,7 @@ struct PlanEntry {
   double modeled_us = 0;
   bool tuned = false;
   /// The parsed form of recipe_text, cached at load/publish time so a
-  /// warm hit never calls core::parse_recipe (the registry's lock-free
+  /// warm hit never calls core::parse_recipe (the registry's mutex-free
   /// lookup copies the shared_ptr, not the recipe).  Never persisted;
   /// may be null for hand-built entries — materialize() then parses
   /// once and the executable-plan cache keeps the result.
@@ -134,7 +136,7 @@ struct HotSignature {
 
 /// Thread-safe signature -> PlanEntry map with better-wins publication.
 /// Safe to share across concurrent get_plan requests and background
-/// tuning workers alike; reads are lock-free snapshot loads (see the
+/// tuning workers alike; reads are mutex-free snapshot loads (see the
 /// file comment).
 class PlanRegistry {
  public:
@@ -148,24 +150,26 @@ class PlanRegistry {
   std::size_t shard_count() const { return shard_count_; }
 
   /// True (and sets *entry) when a plan is registered for `signature`.
-  /// Counts as a hit or miss.  Lock-free.
+  /// Counts as a hit or miss.  Mutex-free.
   bool lookup(const std::string& signature, PlanEntry* entry) const;
 
   /// True when `signature` has a plan, WITHOUT touching the hit/miss
   /// counters (scheduling probes must not distort the serve hit rate).
-  /// Lock-free.
+  /// Mutex-free.
   bool contains(const std::string& signature) const;
 
   /// lookup() without the hit/miss counters — the TuningService's
   /// scheduling probe ("is this entry already tuned?"), which must not
-  /// distort the serve hit rate.  Lock-free.
+  /// distort the serve hit rate.  Mutex-free.
   bool peek(const std::string& signature, PlanEntry* entry) const;
 
   /// Better-wins publication: installs `entry` when the signature is new
   /// or `entry` beats the incumbent (see better_plan), otherwise keeps
   /// the incumbent.  Returns true when `entry` was installed.  Replacing
-  /// an existing entry counts as an upgrade.  Takes only the owning
-  /// shard's write lock; concurrent readers are never blocked.
+  /// an existing entry counts as an upgrade and keeps the signature's
+  /// demand; a new signature gets a fresh demand record in the same
+  /// snapshot.  Takes only the owning shard's write lock; concurrent
+  /// readers are never blocked.
   bool publish(const std::string& signature, const PlanEntry& entry);
 
   /// publish() and read back the resulting incumbent in one atomic step.
@@ -187,21 +191,22 @@ class PlanRegistry {
   /// Record one served request (or `count` batched ones) for
   /// `signature`: bumps the relaxed request counter, marks the
   /// signature fresh for the age-out policy, and records `served_us`
-  /// into its latency histogram.  Lock-free after the signature's first
-  /// request.
+  /// into its latency histogram.  Mutex-free.  Demand lives beside the
+  /// entry, so a signature with no registered plan records nothing —
+  /// serve paths record after a lookup hit or a publish_and_get.
   void record_demand(const std::string& signature, double served_us,
                      std::uint64_t count = 1);
 
-  /// True (and fills *stats) when demand has been recorded — or loaded
-  /// from a v2 file — for `signature`.  Does not touch hit/miss
-  /// counters.
+  /// True (and fills *stats) when `signature` has a registered plan —
+  /// every plan carries a demand record, fresh or loaded from a v2 file.
+  /// Does not touch hit/miss counters.
   bool demand(const std::string& signature, DemandStats* stats) const;
 
   /// The signatures with at least max(1, min_requests) recorded
   /// requests, ranked by request count descending (signature ascending
   /// on ties, so the ranking is deterministic), truncated to the top
   /// `k` (k = 0 means no truncation).  `tuned` reflects the registry's
-  /// current entry; signatures without a registered plan are skipped.
+  /// current entry.
   std::vector<HotSignature> hottest(std::size_t k,
                                     std::uint64_t min_requests = 1) const;
 
@@ -300,54 +305,60 @@ class PlanRegistry {
       support::RecoveryPolicy policy = support::RecoveryPolicy::kStrict);
 
  private:
-  using ShardMap = std::unordered_map<std::string, PlanEntry>;
-
-  /// Live demand state for one signature.  Shared (never copied) so the
-  /// recording path can bump it without holding any lock.  `idle` is -1
-  /// while the signature has been requested (or first published) since
-  /// the last save; save() folds it to the persisted age.  Request
-  /// counts split into the baseline absorbed from files (`base_hits`)
-  /// plus the increments recorded in this process since the last save
-  /// (`local_hits`); their sum is the signature's total demand, and
-  /// save() folds local into base so the union never double-counts.
+  /// Live demand state for one signature.  Shared (never copied) between
+  /// successive shard snapshots so the recording path can bump it
+  /// without holding any lock.  `idle` is -1 while the signature has
+  /// been requested (or first published) since the last save; save()
+  /// folds it to the persisted age.  Request counts split into the
+  /// baseline absorbed from files (`base_hits`) plus the increments
+  /// recorded in this process since the last save (`local_hits`); their
+  /// sum is the signature's total demand, and save() folds local into
+  /// base so the union never double-counts.
   struct Demand {
     std::atomic<std::uint64_t> base_hits{0};
     std::atomic<std::uint64_t> local_hits{0};
     std::atomic<std::int64_t> idle{-1};
     support::Histogram served_us;
-  };
-  using DemandMap =
-      std::unordered_map<std::string, std::shared_ptr<Demand>>;
 
-  /// One stripe: an immutable published snapshot readers load atomically
-  /// plus the mutex that serializes this stripe's copy-on-write
-  /// publishers.  Counters are relaxed atomics (hot-path increments,
-  /// summed on read).  The demand snapshot follows the same
-  /// copy-on-write discipline, but its values are SHARED mutable
-  /// records: inserting a signature copies the map, bumping an existing
-  /// one touches only the record's atomics.
+    std::uint64_t requests() const {
+      return base_hits.load(std::memory_order_relaxed) +
+             local_hits.load(std::memory_order_relaxed);
+    }
+  };
+  /// One registered signature: its served plan and its demand, published
+  /// together.  `demand` is never null.
+  struct Slot {
+    PlanEntry entry;
+    std::shared_ptr<Demand> demand;
+  };
+  using ShardMap = std::unordered_map<std::string, Slot>;
+
+  /// One stripe: the slot map plus relaxed counters (summed on read).
   struct Shard {
-    mutable std::mutex write_mutex;
-    std::atomic<std::shared_ptr<const ShardMap>> snapshot;
-    std::atomic<std::shared_ptr<const DemandMap>> demand;
+    support::CowSnapshot<ShardMap> slots;
     mutable std::atomic<std::size_t> hits{0};
     mutable std::atomic<std::size_t> misses{0};
     std::atomic<std::size_t> upgrades{0};
   };
+  /// One parsed file row: the entry plus its demand columns.
+  struct FileRow {
+    std::string signature;
+    PlanEntry entry;
+    std::uint64_t hits = 0;
+    std::uint64_t age = 0;
+  };
 
+  /// The one sharding rule: a power-of-two count masks the string hash.
+  std::size_t shard_index(const std::string& signature) const;
   Shard& shard_of(const std::string& signature) const;
-  /// Merge `entries` into their owning shards, one copy-on-write pass
-  /// per shard (load()'s bulk path — O(shards) snapshot copies instead
-  /// of O(entries)).
-  void merge_entries(std::vector<std::pair<std::string, PlanEntry>> entries,
-                     bool count_upgrades);
-  /// The shard's Demand record for `signature`, inserting a fresh one
-  /// (copy-on-write, under the shard write lock) on first touch.
-  std::shared_ptr<Demand> ensure_demand(Shard& shard,
-                                        const std::string& signature) const;
-  /// Union a loaded file's demand columns into the live record.
-  void absorb_demand(const std::string& signature, std::uint64_t file_hits,
-                     std::uint64_t file_age);
+  /// The shared core of publish() and publish_and_get(): better-wins
+  /// install of `entry` in one shard write, the plan then served written
+  /// to *served.  Returns true when `entry` was installed.
+  bool install(const std::string& signature, const PlanEntry& entry,
+               PlanEntry* served);
+  /// Merge file rows in one write per shard: entries better-wins, a new
+  /// slot's demand seeded from the row, an existing one's reconciled.
+  void merge_entries(std::vector<FileRow> rows);
   /// A gathered, validated, sorted point-in-time view of every entry
   /// plus the demand readings needed to fold counters after a
   /// successful publish — the shared core of save() and to_text().

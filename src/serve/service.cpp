@@ -63,8 +63,6 @@ TuningService::TuningService(PlanRegistry& registry, ServeOptions options)
                       "retune interval must be >= 0");
   BARRACUDA_CHECK_MSG(options_.anti_entropy_interval >= 0,
                       "anti-entropy interval must be >= 0");
-  known_.store(std::make_shared<const ContextMap>(),
-               std::memory_order_relaxed);
   if (options_.retune_interval > 0) {
     retune_thread_ = std::thread([this] { retune_loop(); });
   }
@@ -95,19 +93,13 @@ TuningService::~TuningService() {
 void TuningService::remember_signature(const std::string& sig,
                                        const core::TuningProblem& problem,
                                        const vgpu::DeviceProfile& device) {
-  // Fast path: already known — one lock-free find on the immutable map.
-  std::shared_ptr<const ContextMap> snap =
-      known_.load(std::memory_order_acquire);
-  if (snap->contains(sig)) return;
+  // Fast path: already known — one mutex-free find on the snapshot.
+  if (known_.read()->contains(sig)) return;
   auto context = std::make_shared<const RetuneContext>(
       RetuneContext{problem, device});
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::shared_ptr<const ContextMap> current =
-      known_.load(std::memory_order_relaxed);
-  if (current->contains(sig)) return;
-  auto next = std::make_shared<ContextMap>(*current);
-  (*next)[sig] = std::move(context);
-  known_.store(std::move(next), std::memory_order_release);
+  known_.write([&](auto& draft) {
+    if (!draft.get().contains(sig)) draft.edit().emplace(sig, context);
+  });
 }
 
 ServedPlan TuningService::serve_signature(std::string sig,
@@ -192,7 +184,7 @@ ServedPlan TuningService::serve_signature(std::string sig,
 
 ServedPlan TuningService::get_plan(const core::TuningProblem& problem,
                                    const vgpu::DeviceProfile& device) {
-  // Warm path: this relaxed increment plus the registry's lock-free
+  // Warm path: this relaxed increment plus the registry's mutex-free
   // shard-snapshot lookup is ALL a tuned hit does — no service mutex,
   // no contention with publishing tunes or other readers.
   requests_.fetch_add(1, std::memory_order_relaxed);
@@ -235,7 +227,7 @@ std::vector<ServedPlan> TuningService::get_plan_batch(
     const std::vector<core::TuningProblem>& problems,
     const vgpu::DeviceProfile& device) {
   // Like get_plan's warm path, the batched warm path is mutex-free:
-  // relaxed counter bumps plus one lock-free registry lookup per
+  // relaxed counter bumps plus one mutex-free registry lookup per
   // DISTINCT signature — the whole point of batching.
   requests_.fetch_add(problems.size(), std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
@@ -577,8 +569,7 @@ std::vector<std::string> TuningService::retune_pass() {
   // accumulated SINCE their last re-tune — a signature re-tuned once
   // must earn fresh traffic to qualify again.
   std::vector<HotSignature> hot = registry_.hottest(0, threshold);
-  std::shared_ptr<const ContextMap> known =
-      known_.load(std::memory_order_acquire);
+  std::shared_ptr<const ContextMap> known = known_.read();
   struct Candidate {
     HotSignature hot;
     std::uint64_t fresh = 0;

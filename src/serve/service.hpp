@@ -96,6 +96,7 @@
 #include "serve/registry.hpp"
 #include "serve/remotebackend.hpp"
 #include "serve/signature.hpp"
+#include "support/snapshot.hpp"
 
 namespace barracuda::serve {
 
@@ -334,7 +335,7 @@ class TuningService {
 
   /// Answer a request: never blocks on tuning, never returns a plan
   /// slower than any previously served for the same signature.  The
-  /// warm (tuned registry hit) path is lock-free: a shard-snapshot read
+  /// warm (tuned registry hit) path is mutex-free: a shard-snapshot read
   /// plus relaxed counter increments — it never takes the service mutex
   /// and never contends with a publishing tune, a merge_save, or
   /// another reader.  The miss/untuned path alone takes the service
@@ -460,8 +461,8 @@ class TuningService {
   void run_tune(const std::string& sig, const core::TuningProblem& problem,
                 const vgpu::DeviceProfile& device, bool retune = false);
   /// Remember the serve context retune_pass() needs to rebuild a tune
-  /// for `sig`.  Lock-free once known (immutable-snapshot find);
-  /// copy-on-write insert under mutex_ on first sight.
+  /// for `sig`.  Mutex-free once known (snapshot find); copy-on-write
+  /// insert on first sight.
   void remember_signature(const std::string& sig,
                           const core::TuningProblem& problem,
                           const vgpu::DeviceProfile& device);
@@ -531,16 +532,16 @@ class TuningService {
   std::unordered_map<std::string, std::uint64_t> retuned_hits_;
 
   /// Serve context per signature for re-tunes: the problem and device a
-  /// future retune_pass() rebuilds core::tune inputs from.  Immutable
-  /// snapshot map, atomically swapped copy-on-write (insert under
-  /// mutex_) so the serve path's existence check is lock-free.
+  /// future retune_pass() rebuilds core::tune inputs from.  A
+  /// copy-on-write snapshot, so the serve path's existence check takes
+  /// no mutex.
   struct RetuneContext {
     core::TuningProblem problem;
     vgpu::DeviceProfile device;
   };
   using ContextMap =
       std::unordered_map<std::string, std::shared_ptr<const RetuneContext>>;
-  std::atomic<std::shared_ptr<const ContextMap>> known_;
+  support::CowSnapshot<ContextMap> known_;
 
   /// The retune_interval scheduler thread and its stop signal (guarded
   /// by retune_mutex_, separate from mutex_ so stopping never contends

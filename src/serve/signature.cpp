@@ -7,7 +7,7 @@ namespace barracuda::serve {
 std::string signature(const core::TuningProblem& problem,
                       const vgpu::DeviceProfile& device) {
   // This runs on EVERY get_plan request — with the registry read now a
-  // lock-free snapshot lookup, signature construction is the biggest
+  // mutex-free snapshot lookup, signature construction is the biggest
   // per-request cost on the warm path — so build the string directly
   // (one reserve, plain appends) instead of through an ostringstream.
   std::string sig;

@@ -15,7 +15,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdint>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -322,6 +324,107 @@ TEST(RegistryConcurrency, BetterWinsUnderEightRacingWriters) {
     EXPECT_EQ(entry, plan_of(best_writer(s, kWriters), s, kWriters))
         << "signature " << s << " did not converge to the best plan";
   }
+}
+
+/// One saved registry file's rows as (signature, age, hits).
+struct SavedRow {
+  std::string signature;
+  std::string age;
+  std::string hits;
+};
+
+std::vector<SavedRow> saved_rows(const std::string& path) {
+  std::vector<SavedRow> rows;
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);  // header
+  while (std::getline(in, line)) {
+    std::vector<std::string> fields;
+    std::istringstream fields_in(line);
+    for (std::string f; std::getline(fields_in, f, '\t');) {
+      fields.push_back(f);
+    }
+    if (fields.size() != 7) {
+      ADD_FAILURE() << "malformed saved row: " << line;
+      continue;
+    }
+    rows.push_back({fields[6], fields[3], fields[4]});
+  }
+  return rows;
+}
+
+// A save() racing a bulk merge of fresh signatures must never see an
+// entry without the demand its file row carried: the entry and its
+// demand are published in one snapshot, so every row any save writes
+// carries the merged `hits 5`.
+TEST(RegistryConcurrency, SaveRacingBulkMergeWritesEveryRowsDemand) {
+  TempFile file("registry_concurrency_merge_race.txt");
+  constexpr int kFresh = 4000;
+  std::string text = "barracuda-planregistry v2\n";
+  for (int s = 0; s < kFresh; ++s) {
+    text += "12.5\t1\t0\t0\t5\t"
+            "kernel 1: tx=i ty=1 bx=j by=1 seq=k unroll=1 registers=1 "
+            "shared=-\t" + sig(1000 + s) + "\n";
+  }
+  PlanRegistry registry(4);
+  std::atomic<bool> merged{false};
+  std::size_t rows_seen = 0;
+  std::size_t wrong_hits = 0;
+  std::thread saver([&] {
+    bool last_pass = false;
+    while (!last_pass) {
+      last_pass = merged.load(std::memory_order_acquire);
+      registry.save(file.path);
+      for (const SavedRow& row : saved_rows(file.path)) {
+        ++rows_seen;
+        if (row.hits != "5") ++wrong_hits;
+      }
+    }
+  });
+  registry.merge_text(text, "race");
+  merged.store(true, std::memory_order_release);
+  saver.join();
+  EXPECT_EQ(wrong_hits, 0u) << "of " << rows_seen << " rows written";
+  EXPECT_GE(rows_seen, static_cast<std::size_t>(kFresh));
+}
+
+// A save() racing publish() under a one-generation age-out: a
+// just-published entry is born requested-fresh, so its first save
+// writes it with age 0 and only later saves drop it.  Each save must
+// drop exactly the entries earlier saves already wrote — one more means
+// a fresh entry was aged out before it ever reached a file.
+TEST(RegistryConcurrency, SaveRacingPublishNeverAgesOutAFreshEntry) {
+  TempFile file("registry_concurrency_publish_race.txt");
+  constexpr int kFresh = 2000;
+  PlanRegistry registry(4);
+  registry.set_max_idle_generations(1);
+  std::atomic<bool> published{false};
+  std::set<std::string> written;
+  std::size_t aged_fresh = 0;
+  std::size_t bad_rows = 0;
+  std::thread saver([&] {
+    bool last_pass = false;
+    while (!last_pass) {
+      last_pass = published.load(std::memory_order_acquire);
+      const std::uint64_t aged_before = registry.aged_out();
+      registry.save(file.path);
+      const std::uint64_t dropped = registry.aged_out() - aged_before;
+      if (dropped > written.size()) aged_fresh += dropped - written.size();
+      for (const SavedRow& row : saved_rows(file.path)) {
+        if (row.age != "0" || !written.insert(row.signature).second) {
+          ++bad_rows;
+        }
+      }
+    }
+  });
+  for (int s = 0; s < kFresh; ++s) {
+    registry.publish(sig(1000 + s), plan_of(0, s, 1));
+  }
+  published.store(true, std::memory_order_release);
+  saver.join();
+  EXPECT_EQ(aged_fresh, 0u) << "fresh entries aged out before any save";
+  EXPECT_EQ(bad_rows, 0u) << "rows written twice or with an age above 0";
+  EXPECT_EQ(written.size(), static_cast<std::size_t>(kFresh));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -261,6 +262,42 @@ TEST(PlanRegistryFile, SaveReplacesAtomicallyAndValidatesUpFront) {
 /// A damaged registry: two parseable entries interleaved with every
 /// per-line corruption class load() detects (field count, bad time,
 /// bad tuned flag, bad variant, unparseable recipe).
+// A bulk merge of never-seen signatures seeds each new slot's demand
+// from its own row, in the same pass that installs the entries: through
+// merge_text and load() alike, every row keeps its hits and age.
+TEST(PlanRegistryFile, BulkMergeOfFreshSignaturesKeepsEveryRowsDemand) {
+  constexpr int kRows = 20000;
+  auto hits_of = [](int i) { return static_cast<std::uint64_t>(i % 97 + 1); };
+  auto age_of = [](int i) { return static_cast<std::uint64_t>(i % 5); };
+  auto sig_of = [](int i) { return "bulk|n=" + std::to_string(i) + ",|"; };
+  std::string text = "barracuda-planregistry v2\n";
+  for (int i = 0; i < kRows; ++i) {
+    text += "12.5\t1\t0\t" + std::to_string(age_of(i)) + "\t" +
+            std::to_string(hits_of(i)) +
+            "\tkernel 1: tx=i ty=1 bx=j by=1 seq=k unroll=2 registers=1 "
+            "shared=-\t" + sig_of(i) + "\n";
+  }
+  TempFile file("registry_bulk_merge.txt");
+  write_file(file.path, text);
+  PlanRegistry merged(4);
+  PlanRegistry loaded(4);
+  EXPECT_EQ(merged.merge_text(text, "bulk"), static_cast<std::size_t>(kRows));
+  EXPECT_EQ(loaded.load(file.path), static_cast<std::size_t>(kRows));
+  for (const PlanRegistry* registry : {&merged, &loaded}) {
+    EXPECT_EQ(registry->size(), static_cast<std::size_t>(kRows));
+    int wrong = 0;
+    for (int i = 0; i < kRows; ++i) {
+      DemandStats demand;
+      if (!registry->demand(sig_of(i), &demand) ||
+          demand.requests != hits_of(i) ||
+          demand.idle_generations != age_of(i)) {
+        ++wrong;
+      }
+    }
+    EXPECT_EQ(wrong, 0) << "rows lost their file demand";
+  }
+}
+
 std::string corrupt_registry_body() {
   const std::string recipe =
       "kernel 1: tx=i ty=1 bx=j by=1 seq=k unroll=2 registers=1 shared=-";
